@@ -68,7 +68,9 @@ fn bench_commit_overhead(c: &mut Criterion) {
         let path = dir.join(format!("{name}.wal"));
         let _ = std::fs::remove_file(&path);
         let db = match durability {
-            None => Database::new(schema()).expect("database builds"),
+            None => Database::builder(schema())
+                .build()
+                .expect("database builds"),
             Some(d) => {
                 Database::builder(schema())
                     .durability(d)

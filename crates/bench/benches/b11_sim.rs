@@ -30,7 +30,10 @@ impl StepHook for NoopHook {
 
 fn database() -> Database {
     let (schema, db) = populate(Sizes::small(), 2).expect("population generates");
-    Database::with_initial(schema, db).expect("database builds")
+    Database::builder(schema)
+        .initial(db)
+        .build()
+        .expect("database builds")
 }
 
 /// Commit throughput with the seam disarmed (hook `None`, the normal

@@ -25,7 +25,10 @@ use txlog::logic::parse_fformula;
 
 fn database(n: usize) -> Database {
     let (schema, db) = populate(Sizes::scaled(n), 2).expect("population generates");
-    Database::with_initial(schema, db).expect("database builds")
+    Database::builder(schema)
+        .initial(db)
+        .build()
+        .expect("database builds")
 }
 
 /// Read throughput with 1..=8 reader threads evaluating the same query

@@ -165,15 +165,14 @@ fn commit_exercise(metrics: &Metrics) {
     };
     let note = parse_fterm("insert(tuple('note'), NOTES)", &ctx, &[]).expect("parses");
 
-    let mut db = Database::builder(schema)
+    let db = Database::builder(schema)
         .metrics(metrics.clone())
         .default_retry(RetryPolicy::no_backoff(4))
+        .constraint(Box::new(
+            SessionConstraint::new("pay-cap", cap, Hints::default()).expect("bounded window"),
+        ))
         .build()
-        .expect("database builds");
-    db.add_constraint(Box::new(
-        SessionConstraint::new("pay-cap", cap, Hints::default()).expect("bounded window"),
-    ))
-    .expect("base state satisfies the cap");
+        .expect("base state satisfies the cap");
     let env = Env::new();
 
     // uncontended apply (validated)
@@ -279,18 +278,16 @@ fn isolation_exercise(metrics: &Metrics) {
         &ctx,
     )
     .expect("constraint parses");
-    let mut windowed = Database::builder(schema)
-        .metrics(metrics.clone())
-        .build()
-        .expect("database builds");
     let transitive = Hints {
         step_relation_transitive: true,
         ..Hints::default()
     };
-    windowed
-        .add_constraint(Box::new(
+    let windowed = Database::builder(schema)
+        .metrics(metrics.clone())
+        .constraint(Box::new(
             SessionConstraint::new("wage-mono", mono, transitive).expect("bounded window"),
         ))
+        .build()
         .expect("initial state satisfies the constraint");
     let escalated = windowed.session_with(SessionOptions::read_committed());
     assert_eq!(

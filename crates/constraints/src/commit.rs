@@ -25,9 +25,9 @@ use txlog_engine::CommitConstraint;
 use txlog_logic::SFormula;
 use txlog_relational::{DbState, Delta, Schema};
 
-/// A declared constraint, packaged for [`Database::add_constraint`].
+/// A declared constraint, packaged for [`DatabaseBuilder::constraint`].
 ///
-/// [`Database::add_constraint`]: txlog_engine::Database::add_constraint
+/// [`DatabaseBuilder::constraint`]: txlog_engine::DatabaseBuilder::constraint
 ///
 /// ```
 /// use txlog_constraints::{Hints, SessionConstraint};
@@ -43,8 +43,10 @@ use txlog_relational::{DbState, Delta, Schema};
 /// )
 /// .unwrap();
 /// let c = SessionConstraint::new("salary-cap", cap, Hints::default()).unwrap();
-/// let mut db = Database::new(schema).unwrap();
-/// db.add_constraint(Box::new(c)).unwrap();
+/// let db = Database::builder(schema)
+///     .constraint(Box::new(c))
+///     .build()
+///     .unwrap();
 /// ```
 pub struct SessionConstraint {
     name: String,
@@ -220,8 +222,11 @@ mod tests {
             .initial_state()
             .insert_fields(emp, &[Atom::str("ann"), Atom::nat(500)])
             .unwrap();
-        let mut db = Database::with_initial(schema, initial).unwrap();
-        db.add_constraint(Box::new(c)).unwrap();
+        let db = Database::builder(schema)
+            .initial(initial)
+            .constraint(Box::new(c))
+            .build()
+            .unwrap();
 
         let ok = parse_fterm("insert(tuple('bob', 900), EMP)", &ctx(), &[]).unwrap();
         db.session()

@@ -188,12 +188,11 @@ mod tests {
     #[test]
     fn enforces_never_reinsert_without_rewriting_transactions() {
         let enc = ReactiveEncoding::define(&schema(), "EMP", "e-name", "FIRED").unwrap();
-        let mut db = Database::builder(schema())
+        let db = Database::builder(schema())
             .event_pattern(enc.pattern_def())
             .unwrap()
+            .constraint(Box::new(enc.session_constraint("never-rehire").unwrap()))
             .build()
-            .unwrap();
-        db.add_constraint(Box::new(enc.session_constraint("never-rehire").unwrap()))
             .unwrap();
         let ctx = ParseCtx::with_relations(&["EMP", "FIRED"]);
         let t = |src: &str| parse_fterm(src, &ctx, &[]).unwrap();

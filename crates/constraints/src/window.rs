@@ -25,7 +25,7 @@
 use crate::classify::{classify, ConstraintClass};
 use txlog_base::obs::{Hist, Metrics};
 use txlog_base::{TxError, TxResult};
-use txlog_engine::{Env, EvalOptions, Model};
+use txlog_engine::{Env, Model};
 use txlog_logic::{FTerm, SFormula};
 use txlog_relational::{DbState, EvolutionGraph, Schema, TxLabel};
 
@@ -232,7 +232,7 @@ impl History {
         // falsify ≠-style constraints (salary(s:e) ≠ salary(s;Λ:e) is
         // never true), which is plainly not the paper's reading.
         graph.transitive_close();
-        Ok(Model::new(self.schema.clone(), graph).with_options(EvalOptions::default()))
+        Ok(Model::new(self.schema.clone(), graph))
     }
 }
 

@@ -326,7 +326,7 @@ pub fn example1_incremental(initial: DbState) -> TxResult<Vec<(&'static str, Inc
 /// concurrent session layer ([`txlog_engine::Database`]): every
 /// Example 1 static constraint (window 1) plus Example 3's skill
 /// retention (window 2, sound by transitivity of `⊆`). Register each
-/// with [`Database::add_constraint`](txlog_engine::Database::add_constraint).
+/// with [`DatabaseBuilder::constraint`](txlog_engine::DatabaseBuilder::constraint).
 pub fn session_constraints() -> TxResult<Vec<SessionConstraint>> {
     let mut out = Vec::new();
     for (name, ic) in example1_all() {
@@ -432,12 +432,11 @@ mod tests {
         use crate::transactions::{fire, hire, rehire};
         use txlog_engine::{CommitError, Database, Env};
 
-        let mut db = Database::builder(crate::schema::employee_schema())
+        let db = Database::builder(crate::schema::employee_schema())
             .event_pattern(fired_pattern())
             .unwrap()
+            .constraint(Box::new(ic4_fired_session().unwrap()))
             .build()
-            .unwrap();
-        db.add_constraint(Box::new(ic4_fired_session().unwrap()))
             .unwrap();
         let mut s = db.session();
         s.commit(

@@ -36,7 +36,6 @@ pub struct Model {
     pub schema: Schema,
     /// The graph of states and transaction arcs.
     pub graph: EvolutionGraph,
-    opts: EvalOptions,
     metrics: Metrics,
 }
 
@@ -46,26 +45,12 @@ impl Model {
         Model {
             schema,
             graph,
-            opts: EvalOptions::default(),
             metrics: Metrics::current(),
         }
     }
 
-    /// Set evaluation options (forwarded to the fluent evaluator).
-    pub fn with_options(mut self, opts: EvalOptions) -> Model {
-        self.opts = opts;
-        self
-    }
-
-    /// Set the observability sink (forwarded to the fluent evaluator).
-    pub fn with_metrics(mut self, metrics: Metrics) -> Model {
-        self.metrics = metrics;
-        self
-    }
-
     fn engine(&self) -> TxResult<Engine<'_>> {
         Engine::builder(&self.schema)
-            .options(self.opts)
             .metrics(self.metrics.clone())
             .build()
     }
@@ -494,10 +479,10 @@ impl Model {
     /// budget: a quantifier domain larger than `max_iterations` is
     /// treated as not finitely enumerable.
     fn domain_budget(&self, v: Var, size: usize) -> TxResult<()> {
-        if size > self.opts.max_iterations {
+        let max = EvalOptions::default().max_iterations;
+        if size > max {
             return Err(TxError::InfiniteDomain(format!(
-                "s-formula quantifier domain for {v} exceeded {} bindings",
-                self.opts.max_iterations
+                "s-formula quantifier domain for {v} exceeded {max} bindings"
             )));
         }
         Ok(())
@@ -563,7 +548,6 @@ fn collect_sformula_atoms(p: &SFormula, out: &mut Vec<Atom>) {
 pub struct ModelBuilder {
     schema: Schema,
     graph: EvolutionGraph,
-    opts: EvalOptions,
 }
 
 impl ModelBuilder {
@@ -572,14 +556,7 @@ impl ModelBuilder {
         ModelBuilder {
             schema,
             graph: EvolutionGraph::new(),
-            opts: EvalOptions::default(),
         }
-    }
-
-    /// Set evaluation options for transaction execution.
-    pub fn with_options(mut self, opts: EvalOptions) -> ModelBuilder {
-        self.opts = opts;
-        self
     }
 
     /// Add (or find) a state.
@@ -596,7 +573,7 @@ impl ModelBuilder {
         tx: &FTerm,
         env: &Env,
     ) -> TxResult<txlog_base::StateId> {
-        let engine = Engine::builder(&self.schema).options(self.opts).build()?;
+        let engine = Engine::builder(&self.schema).build()?;
         let next = engine.execute(self.graph.state(src), tx, env)?;
         let dst = self.graph.add_state(next);
         self.graph.add_arc(src, TxLabel::new(label), dst)?;
@@ -615,7 +592,7 @@ impl ModelBuilder {
 
     /// Finish, yielding the model.
     pub fn finish(self) -> Model {
-        Model::new(self.schema, self.graph).with_options(self.opts)
+        Model::new(self.schema, self.graph)
     }
 
     /// Access the graph under construction.

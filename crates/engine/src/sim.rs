@@ -100,7 +100,9 @@ pub enum StepPoint {
     WalAppend(RecordKind),
     /// The WAL is about to flush the store.
     WalFsync,
-    /// A validated (and, if durable, logged) commit is about to install.
+    /// A commit (validated, or an engine-internal event
+    /// materialization) is about to install, its record already
+    /// enqueued when durable.
     Install,
 }
 
@@ -825,33 +827,24 @@ impl Runner<'_> {
 }
 
 fn build_db(cfg: &SimConfig) -> TxResult<(Database, Option<MemStore>)> {
+    let mut b = Database::builder(cfg.schema.clone()).metrics(Metrics::disabled());
+    if let Some(s) = &cfg.initial {
+        b = b.initial(s.clone());
+    }
     match cfg.durability {
-        SimDurability::Off => {
-            let initial = cfg
-                .initial
-                .clone()
-                .unwrap_or_else(|| cfg.schema.initial_state());
-            let db = Database::with_initial(cfg.schema.clone(), initial)?
-                .with_metrics(Metrics::disabled());
-            Ok((db, None))
-        }
+        SimDurability::Off => Ok((b.build()?, None)),
         SimDurability::Wal {
             sync_every,
             checkpoint_every,
             ..
         } => {
             let store = MemStore::new();
-            let mut b = Database::builder(cfg.schema.clone())
-                .metrics(Metrics::disabled())
+            let (db, _) = b
                 .manual_log_writer()
                 .durability(Durability::Wal {
                     sync_every,
                     checkpoint_every,
-                });
-            if let Some(s) = &cfg.initial {
-                b = b.initial(s.clone());
-            }
-            let (db, _) = b
+                })
                 .open_store(Box::new(store.clone()))
                 .map_err(|e| TxError::eval(format!("sim: opening the WAL failed: {e}")))?;
             Ok((db, Some(store)))
@@ -1562,10 +1555,13 @@ fn permutations_match(
 /// visible to the oracle: two guarded transactions that each falsify
 /// the other's guard admit no serial order at all.
 fn replay_matches(cfg: &SimConfig, out: &SimOutcome, order: &[usize]) -> bool {
-    let Ok(db) = Database::with_initial(cfg.schema.clone(), out.base.clone()) else {
+    let Ok(db) = Database::builder(cfg.schema.clone())
+        .metrics(Metrics::disabled())
+        .initial(out.base.clone())
+        .build()
+    else {
         return false;
     };
-    let db = db.with_metrics(Metrics::disabled());
     let mut sess = db.session();
     let env = Env::new();
     for &idx in order {

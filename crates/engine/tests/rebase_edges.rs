@@ -44,7 +44,10 @@ fn raise() -> FTerm {
 #[test]
 fn empty_delta_forwards_over_a_moved_head() {
     let s = schema();
-    let db = Database::with_initial(s.clone(), populated(&s)).expect("database builds");
+    let db = Database::builder(s.clone())
+        .initial(populated(&s))
+        .build()
+        .expect("database builds");
     let env = Env::new();
 
     let mut stale = db.session(); // pinned at version 0

@@ -30,7 +30,10 @@ use txlog::relational::DbState;
 
 fn database() -> Database {
     let (schema, db) = populate(Sizes::small(), 2).expect("population generates");
-    Database::with_initial(schema, db).expect("database builds")
+    Database::builder(schema)
+        .initial(db)
+        .build()
+        .expect("database builds")
 }
 
 /// The populated empdb workload as a simulation config.
@@ -46,7 +49,9 @@ fn sim_config(sessions: &[(&str, Vec<FTerm>)]) -> SimConfig {
 /// Replay `txs` in order from `base` through a fresh single-writer
 /// database — the sequential oracle.
 fn oracle(base_db: &Database, base: &DbState, txs: &[&FTerm]) -> DbState {
-    let db = Database::with_initial(base_db.schema().clone(), base.clone())
+    let db = Database::builder(base_db.schema().clone())
+        .initial(base.clone())
+        .build()
         .expect("oracle database builds");
     let mut session = db.session();
     let env = Env::new();

@@ -110,16 +110,17 @@ fn constraint_violation_arrives_as_a_typed_wire_error() {
         &ctx,
     )
     .expect("constraint parses");
-    let mut db = Database::builder(schema).build().expect("database builds");
-    db.add_constraint(Box::new(
-        txlog::constraints::SessionConstraint::new(
-            "pay-cap",
-            cap,
-            txlog::constraints::Hints::default(),
-        )
-        .expect("bounded window"),
-    ))
-    .expect("initial state satisfies the cap");
+    let db = Database::builder(schema)
+        .constraint(Box::new(
+            txlog::constraints::SessionConstraint::new(
+                "pay-cap",
+                cap,
+                txlog::constraints::Hints::default(),
+            )
+            .expect("bounded window"),
+        ))
+        .build()
+        .expect("initial state satisfies the cap");
 
     let server = serve(Arc::new(db), quick_cfg());
     let mut client = Client::connect(server.local_addr(), "e2e").expect("connects");
@@ -296,7 +297,7 @@ fn shutdown_drains_an_in_flight_commit_and_farewells_idle_peers() {
     // A commit constraint that parks mid-validation until released: the
     // shutdown arrives while the commit is in flight, and the commit
     // must still complete and be acknowledged. The gate is only armed
-    // after registration — `add_constraint` validates the initial
+    // after registration — `build` validates the initial
     // state synchronously on this thread, and parking there would be a
     // self-deadlock.
     struct Gate {
@@ -335,8 +336,9 @@ fn shutdown_drains_an_in_flight_commit_and_farewells_idle_peers() {
     let schema = Schema::new()
         .relation("CREW", &["c-name", "c-rank"])
         .expect("relation declares");
-    let mut db = Database::builder(schema).build().expect("database builds");
-    db.add_constraint(Box::new(SlowCheck(Arc::clone(&gate))))
+    let db = Database::builder(schema)
+        .constraint(Box::new(SlowCheck(Arc::clone(&gate))))
+        .build()
         .expect("initial state passes");
     gate.armed.store(true, Ordering::Release);
     let server = serve(Arc::new(db), quick_cfg());
